@@ -5,16 +5,12 @@
 // reruns) and "current" (this run), plus the ns/op speedup of current
 // over baseline per benchmark.
 //
-// Two optional sections extend the document:
-//
-//   - -parallel "1=seq.txt,8=par.txt" records per-GOMAXPROCS runs of the
-//     same benchmarks (bench output files captured under each setting)
-//     and their ns/op speedup over the GOMAXPROCS=1 run — the scaling
-//     trajectory of the morsel-driven parallel matcher.
-//   - -prev BENCH_N.json -max-regress 0.20 gates on the previous
-//     committed trajectory file: if any benchmark's current ns/op is
-//     more than the fraction slower than the previous file's current
-//     section, benchjson exits nonzero (the CI perf gate).
+// With -prev BENCH_N.json -max-regress 0.20 it also gates on the
+// previous committed trajectory file: if any benchmark's current ns/op
+// is more than the fraction slower than the previous file's current
+// section, benchjson exits nonzero (the CI perf gate). Sections this
+// tool no longer writes (such as older files' "parallel" GOMAXPROCS
+// record) are ignored on read.
 //
 // Usage:
 //
@@ -49,19 +45,6 @@ type File struct {
 	Current  map[string]Measurement `json:"current"`
 	// SpeedupNsPerOp is baseline/current per benchmark present in both.
 	SpeedupNsPerOp map[string]float64 `json:"speedup_ns_per_op"`
-	// Parallel, when present, holds the same benchmarks measured under
-	// explicit GOMAXPROCS settings plus each setting's ns/op speedup
-	// over the GOMAXPROCS=1 run.
-	Parallel *ParallelSection `json:"parallel,omitempty"`
-}
-
-// ParallelSection is the scaling record: measurements keyed by the
-// GOMAXPROCS value they ran under.
-type ParallelSection struct {
-	GOMAXPROCS map[string]map[string]Measurement `json:"gomaxprocs"`
-	// SpeedupVs1 is, per GOMAXPROCS setting and benchmark, the ns/op of
-	// the GOMAXPROCS=1 run divided by this run's (>1 = scaling).
-	SpeedupVs1 map[string]map[string]float64 `json:"speedup_vs_1"`
 }
 
 func main() {
@@ -69,7 +52,6 @@ func main() {
 	out := flag.String("out", "", "output file; its existing baseline section is preserved (required)")
 	note := flag.String("note", "", "free-form note stored in the document")
 	require := flag.String("require", "", "comma-separated benchmark names that must be present on stdin")
-	parallel := flag.String("parallel", "", "comma-separated GOMAXPROCS=file pairs of bench outputs, e.g. '1=seq.txt,8=par.txt'")
 	prev := flag.String("prev", "", "previous trajectory file to gate against (compares current ns/op sections)")
 	maxRegress := flag.Float64("max-regress", 0.20, "with -prev: maximum tolerated ns/op regression as a fraction")
 	flag.Parse()
@@ -127,14 +109,6 @@ func main() {
 			doc.SpeedupNsPerOp[name] = round2(base.NsPerOp / cur.NsPerOp)
 		}
 	}
-	if *parallel != "" {
-		sec, err := parseParallel(*parallel)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
-		}
-		doc.Parallel = sec
-	}
 
 	buf, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -185,51 +159,6 @@ func gate(current map[string]Measurement, prevPath string, maxRegress float64) e
 	}
 	fmt.Printf("benchjson: regression gate passed against %s (tolerance %.0f%%)\n", prevPath, 100*maxRegress)
 	return nil
-}
-
-// parseParallel reads the GOMAXPROCS=file spec into the parallel section
-// and computes speedups against the GOMAXPROCS=1 entry when present.
-func parseParallel(spec string) (*ParallelSection, error) {
-	sec := &ParallelSection{
-		GOMAXPROCS: make(map[string]map[string]Measurement),
-		SpeedupVs1: make(map[string]map[string]float64),
-	}
-	for _, pair := range strings.Split(spec, ",") {
-		label, path, ok := strings.Cut(strings.TrimSpace(pair), "=")
-		if !ok {
-			return nil, fmt.Errorf("bad -parallel entry %q: want GOMAXPROCS=file", pair)
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		ms, err := parseBench(f)
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("parsing %s: %w", path, err)
-		}
-		if len(ms) == 0 {
-			return nil, fmt.Errorf("no benchmark lines in %s", path)
-		}
-		sec.GOMAXPROCS[label] = ms
-	}
-	base, ok := sec.GOMAXPROCS["1"]
-	if !ok {
-		return sec, nil
-	}
-	for label, ms := range sec.GOMAXPROCS {
-		if label == "1" {
-			continue
-		}
-		sp := make(map[string]float64)
-		for name, m := range ms {
-			if b, ok := base[name]; ok && m.NsPerOp > 0 {
-				sp[name] = round2(b.NsPerOp / m.NsPerOp)
-			}
-		}
-		sec.SpeedupVs1[label] = sp
-	}
-	return sec, nil
 }
 
 func readFile(path string) (*File, error) {

@@ -279,15 +279,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"cache_hits":     m.CacheHits,
 		"cache_misses":   m.CacheMisses,
 		"cache_hit_rate": m.CacheHitRate,
-		// Intra-query parallelism: the configured machine-wide
-		// budget and the average share queries actually ran with.
-		"parallelism_budget":    m.ParallelismBudget,
-		"effective_parallelism": m.EffectiveParallelism,
-		// Control-site join fan-out: the configured per-stage
-		// partition override (0 = derived per query) and the average
-		// partition count join-bearing queries ran with.
-		"join_partitions_cap":       m.JoinPartitionsCap,
-		"effective_join_partitions": m.EffectiveJoinPartitions,
 		// Live updates: applied batches, the new triples they
 		// contributed, the global graph's current delta overlay size,
 		// and how many times the delta compacted into the CSR.

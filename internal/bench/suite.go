@@ -30,15 +30,6 @@ type Config struct {
 	Sites          int // default 10, matching the paper's cluster
 	Workers        int // default 4, the paper's cores per machine
 	Clients        int // concurrent clients for throughput, default 8
-	// Parallelism is the intra-query worker budget handed to each
-	// engine (fragment fan-out × matcher morsel workers). 0 means
-	// GOMAXPROCS; 1 forces sequential matching for apples-to-apples
-	// comparisons against single-core figures.
-	Parallelism int
-	// JoinPartitions overrides the per-stage partition count of the
-	// control-site join pipeline (0 = derived from the parallelism
-	// budget; 1 forces the sequential symmetric join).
-	JoinPartitions int
 	SampleFraction float64
 	Seed           uint64
 	// StorageFactor sets SC as a multiple of the hot graph size for
@@ -276,8 +267,6 @@ func (s *Suite) BuildStrategy(ds *Dataset, strategy string) (Runner, *BuildStats
 		if err != nil {
 			return nil, nil, err
 		}
-		eng.Parallelism = cfg.Parallelism
-		eng.JoinPartitions = cfg.JoinPartitions
 		stats.Loading = time.Since(t1)
 		stats.Redundancy = fr.Redundancy(ds.Graph)
 		return &vfhfRunner{name: strategy, engine: eng}, stats, nil

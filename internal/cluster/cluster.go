@@ -259,14 +259,9 @@ type EvalRequest struct {
 	FragIDs []int
 	Query   *sparql.Graph
 	// Filter optionally restricts vertex bindings (minterm push-down).
-	// It is invoked concurrently (fragments evaluate in parallel and the
-	// matcher itself fans out), so it must be safe for concurrent use.
+	// Fragments evaluate concurrently and share it, so it must be safe
+	// for concurrent use.
 	Filter func(qv int, id rdf.ID) bool
-	// Parallelism is the site's intra-query worker budget: it bounds how
-	// many fragments evaluate concurrently and how many morsel workers
-	// the matcher uses inside each fragment (the budget is divided
-	// between the two). 0 means GOMAXPROCS.
-	Parallelism int
 	// View is the query's pinned MVCC read view; fragments are read
 	// through it so one query sees a single batch-atomic cut across every
 	// site. A nil View reads each fragment's current state instead (a
@@ -274,34 +269,35 @@ type EvalRequest struct {
 	// network transport, which cannot ship a view handle across
 	// processes).
 	View *rdf.ViewHandle
-	// Deterministic makes streamed batches arrive in the sequential
-	// enumeration order (match.Options.Deterministic). The HTTP site
-	// server relies on it: a deterministic batch sequence is what makes
-	// a torn stream resumable from the last acknowledged batch.
-	Deterministic bool
 }
 
-// split divides the request's parallelism budget over the site's
-// fragment fan-out: at most budget fragments evaluate at once, and each
-// gets budget/fanout morsel workers (≥1) so total worker demand stays
-// near the budget instead of multiplying.
-func (req *EvalRequest) split(fragments int) (fanout, perFragment int) {
-	budget := req.Parallelism
-	if budget <= 0 {
-		budget = runtime.GOMAXPROCS(0)
+// evalFragments runs fn once per fragment graph, concurrently: at most
+// GOMAXPROCS fragments of one request run at once, each holding one of
+// the site's workers. Each fragment's match is sequential. Fragments not
+// yet started when ctx ends are skipped; callers check ctx.Err() after.
+func (s *Site) evalFragments(ctx context.Context, graphs []*rdf.Graph, fn func(i int, g *rdf.Graph)) {
+	gate := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for i, g := range graphs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			select {
+			case gate <- struct{}{}:
+			case <-ctx.Done():
+				return
+			}
+			defer func() { <-gate }()
+			select {
+			case s.sem <- struct{}{}: // acquire a site worker
+			case <-ctx.Done():
+				return
+			}
+			defer func() { <-s.sem }()
+			fn(i, g)
+		}()
 	}
-	fanout = fragments
-	if fanout > budget {
-		fanout = budget
-	}
-	if fanout < 1 {
-		fanout = 1
-	}
-	perFragment = budget / fanout
-	if perFragment < 1 {
-		perFragment = 1
-	}
-	return fanout, perFragment
+	wg.Wait()
 }
 
 // Eval performs a synchronous request/response round trip to a site: one
@@ -326,36 +322,14 @@ func (c *Cluster) Eval(ctx context.Context, req EvalRequest) (*match.Bindings, e
 		return nil, err
 	}
 
-	// Evaluate fragments in parallel under the site's worker pool: the
+	// Evaluate fragments concurrently under the site's worker pool: the
 	// paper's horizontal fragmentation wins latency exactly because a
 	// site's (or cluster's) cores scan several small fragments at once
-	// instead of one big one. The request's parallelism budget is split
-	// between this fragment fan-out and the matcher's morsel workers
-	// inside each fragment.
-	fanout, perFragment := req.split(len(graphs))
+	// instead of one big one.
 	found := make([][]match.Match, len(graphs))
-	gate := make(chan struct{}, fanout)
-	var wg sync.WaitGroup
-	for i, g := range graphs {
-		wg.Add(1)
-		go func(i int, g *rdf.Graph) {
-			defer wg.Done()
-			select {
-			case gate <- struct{}{}: // respect the parallelism budget
-			case <-ctx.Done():
-				return
-			}
-			defer func() { <-gate }()
-			select {
-			case s.sem <- struct{}{}: // acquire a site worker
-			case <-ctx.Done():
-				return
-			}
-			found[i] = match.Find(req.Query, req.View.Snap(g), match.Options{VertexFilter: req.Filter, Parallelism: perFragment})
-			<-s.sem
-		}(i, g)
-	}
-	wg.Wait()
+	s.evalFragments(ctx, graphs, func(i int, g *rdf.Graph) {
+		found[i] = match.Find(req.Query, req.View.Snap(g), match.Options{VertexFilter: req.Filter})
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

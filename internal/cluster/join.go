@@ -8,10 +8,13 @@ import (
 // HashJoin joins two binding tables on their shared variables, the
 // control-site join of Section 7.3. With no shared variables it degrades
 // to a Cartesian product. Output columns are left's variables followed by
-// right's non-shared variables. It is the single-partition case of
-// HashJoinOpts (see partition.go), sharing the same ordered join core.
+// right's non-shared variables. Rows come out in (left row, right row)
+// order. A ragged row too short to cover every shared column has no
+// defined join key and matches nothing; missing output columns pad with
+// NoID.
 func HashJoin(left, right *match.Bindings) *match.Bindings {
-	return HashJoinOpts(left, right, JoinOptions{})
+	j := newJoinGeom(left.Vars, right.Vars)
+	return &match.Bindings{Vars: j.outVars, Rows: joinOrdered(j, left.Rows, right.Rows)}
 }
 
 // colPair pairs the positions of one shared variable in both tables.
@@ -37,6 +40,104 @@ func names(vars []string, idx []int) []string {
 	out := make([]string, len(idx))
 	for i, j := range idx {
 		out[i] = vars[j]
+	}
+	return out
+}
+
+// joinGeom is one join's resolved column geometry. lNeed/rNeed/maxRO are
+// precomputed so the per-row ragged-row guards cost one integer compare,
+// not a loop over the columns.
+type joinGeom struct {
+	shared    []colPair
+	rightOnly []int
+	lw        int // left row width (len(leftVars))
+	width     int // output row width
+	lNeed     int // min left row length covering every shared column
+	rNeed     int // min right row length covering every shared column
+	maxRO     int // max right-only column index (-1 when none)
+	outVars   []string
+}
+
+func newJoinGeom(leftVars, rightVars []string) *joinGeom {
+	shared, rightOnly := alignVars(leftVars, rightVars)
+	j := &joinGeom{
+		shared:    shared,
+		rightOnly: rightOnly,
+		lw:        len(leftVars),
+		width:     len(leftVars) + len(rightOnly),
+		maxRO:     -1,
+		outVars:   append(append([]string(nil), leftVars...), names(rightVars, rightOnly)...),
+	}
+	for _, c := range shared {
+		if c.l+1 > j.lNeed {
+			j.lNeed = c.l + 1
+		}
+		if c.r+1 > j.rNeed {
+			j.rNeed = c.r + 1
+		}
+	}
+	for _, idx := range rightOnly {
+		if idx > j.maxRO {
+			j.maxRO = idx
+		}
+	}
+	return j
+}
+
+// keyable reports whether a row from the side named by left covers every
+// shared column — the precondition for building its join key.
+func (j *joinGeom) keyable(row []rdf.ID, left bool) bool {
+	if left {
+		return len(row) >= j.lNeed
+	}
+	return len(row) >= j.rNeed
+}
+
+// joinOrdered is HashJoin's core: hash rrows, probe lrows in order, emit
+// matches in (left index, right index) order. With no shared columns it
+// degrades to the nested-loop Cartesian product in the same order. Rows
+// missing a shared column are skipped (no defined key).
+func joinOrdered(j *joinGeom, lrows, rrows [][]rdf.ID) [][]rdf.ID {
+	if len(lrows) == 0 || len(rrows) == 0 {
+		return nil
+	}
+	if len(j.shared) == 0 {
+		total := len(lrows) * len(rrows)
+		arena := presizedArena(total, j.width)
+		out := make([][]rdf.ID, 0, total)
+		for _, lr := range lrows {
+			for _, rr := range rrows {
+				out = append(out, mergeRows(arena, j, lr, rr))
+			}
+		}
+		return out
+	}
+	tab := newJoinTable(j.shared, len(rrows))
+	for i, rr := range rrows {
+		if j.keyable(rr, false) {
+			tab.add(rr, false, int32(i))
+		}
+	}
+	// Counting pass: probing twice is far cheaper than growing the output
+	// slice and row storage through repeated reallocation.
+	total := 0
+	for _, lr := range lrows {
+		if j.keyable(lr, true) {
+			total += len(tab.lookup(lr, true))
+		}
+	}
+	if total == 0 {
+		return nil
+	}
+	arena := presizedArena(total, j.width)
+	out := make([][]rdf.ID, 0, total)
+	for _, lr := range lrows {
+		if !j.keyable(lr, true) {
+			continue
+		}
+		for _, ri := range tab.lookup(lr, true) {
+			out = append(out, mergeRows(arena, j, lr, rrows[ri]))
+		}
 	}
 	return out
 }

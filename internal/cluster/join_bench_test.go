@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"rdffrag/internal/match"
@@ -31,15 +30,9 @@ func BenchmarkHashJoin(b *testing.B) {
 	}
 }
 
-// BenchmarkJoinStreamPartitioned sweeps the partition fan-out of the
-// streamed control-site join (streaming merge mode, the engine's
-// configuration): P1 is the sequential symmetric join, higher counts
-// fan the same batches out to shared-nothing partition workers. Run
-// under different GOMAXPROCS settings (make bench-baseline's parallel
-// section), the sweep records how the fan-out converts cores into join
-// throughput; on one hardware thread it records the partitioning
-// overhead instead.
-func BenchmarkJoinStreamPartitioned(b *testing.B) {
+// BenchmarkJoinStream measures the pipelined symmetric join over many
+// batches — the shape the streaming engine actually runs.
+func BenchmarkJoinStream(b *testing.B) {
 	mk := func(vars []string, rows, batch int) []*match.Bindings {
 		var out []*match.Bindings
 		t := benchTable(rows, vars)
@@ -55,31 +48,27 @@ func BenchmarkJoinStreamPartitioned(b *testing.B) {
 	lb := mk([]string{"x", "y"}, 2000, 128)
 	rb := mk([]string{"y", "z"}, 2000, 128)
 	lv, rv := []string{"x", "y"}, []string{"y", "z"}
-	for _, p := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("P%d", p), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				left := make(chan *match.Bindings, len(lb))
-				right := make(chan *match.Bindings, len(rb))
-				out := make(chan *match.Bindings, 16)
-				for _, x := range lb {
-					left <- x
-				}
-				close(left)
-				for _, x := range rb {
-					right <- x
-				}
-				close(right)
-				go JoinStreamOpts(context.Background(), lv, rv, left, right, out, JoinOptions{Partitions: p})
-				n := 0
-				for o := range out {
-					n += len(o.Rows)
-				}
-				if n == 0 {
-					b.Fatal("partitioned join stream produced nothing")
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		left := make(chan *match.Bindings, len(lb))
+		right := make(chan *match.Bindings, len(rb))
+		out := make(chan *match.Bindings, 16)
+		for _, x := range lb {
+			left <- x
+		}
+		close(left)
+		for _, x := range rb {
+			right <- x
+		}
+		close(right)
+		go JoinStream(context.Background(), lv, rv, left, right, out)
+		n := 0
+		for o := range out {
+			n += len(o.Rows)
+		}
+		if n == 0 {
+			b.Fatal("join stream produced nothing")
+		}
 	}
 }
 

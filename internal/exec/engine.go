@@ -34,21 +34,6 @@ type Engine struct {
 	// cluster.DefaultBatchSize).
 	BatchSize int
 
-	// Parallelism is the default intra-query worker budget handed to
-	// every site evaluation: it bounds concurrent fragment evaluations
-	// and the matcher's morsel workers per fragment. 0 means GOMAXPROCS.
-	// A Prepared with its own Parallelism overrides it per execution —
-	// the serving layer uses that to trade intra-query parallelism
-	// against inter-query worker count under load.
-	Parallelism int
-
-	// JoinPartitions overrides the per-stage partition count of the
-	// control-site join pipeline. 0 derives it from the query's
-	// parallelism budget (half the budget, split across the join
-	// stages); 1 forces the sequential symmetric join. A Prepared with
-	// its own JoinPartitions overrides this per execution.
-	JoinPartitions int
-
 	// Remotes maps site IDs to remote evaluators (transport site
 	// clients). Subqueries routed to a mapped site go over the network;
 	// unmapped sites evaluate in-process over the cluster's channel
@@ -100,12 +85,6 @@ type QueryStats struct {
 	// IntermediateRows counts actual binding rows shipped to the control
 	// site before joining.
 	IntermediateRows int
-	// Parallelism is the effective intra-query worker budget the
-	// execution ran with (after resolving Prepared and engine defaults).
-	Parallelism int
-	// JoinPartitions is the per-stage partition count the control-site
-	// join pipeline ran with (0 when the plan had no join stages).
-	JoinPartitions int
 	// Partial is true when PartialResults mode skipped unreachable
 	// sites: the rows returned are correct but possibly incomplete.
 	// UnreachableSites lists the skipped sites, ascending.
@@ -150,15 +129,6 @@ func (e *Engine) Views() *rdf.ViewSource { return e.Cluster.Views() }
 type Prepared struct {
 	Dcp  *decompose.Decomposition
 	Plan *plan.Plan
-	// Parallelism, when non-zero, overrides the engine's intra-query
-	// worker budget for executions of this Prepared. Cached Prepareds
-	// leave it 0; the server stamps a per-execution copy so one cached
-	// plan can run at different budgets under different load.
-	Parallelism int
-	// JoinPartitions, when non-zero, overrides the engine's per-stage
-	// join partition count for executions of this Prepared, the same way
-	// Parallelism overrides the worker budget.
-	JoinPartitions int
 	// View, when non-nil, is the pinned read view every site evaluation
 	// of this execution reads from — the MVCC replacement for the old
 	// per-query data lock. Cached Prepareds leave it nil; the server

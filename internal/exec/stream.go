@@ -13,7 +13,6 @@ package exec
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -83,61 +82,10 @@ func (e *Engine) QueryPrepared(ctx context.Context, q *sparql.Graph, prep *Prepa
 		DecompositionCost: dcp.Cost,
 		PlanCost:          pl.Cost,
 	}
-	par := prep.Parallelism
-	if par == 0 {
-		par = e.Parallelism
-	}
-	if par == 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	stats.Parallelism = par
-
 	vars := make([][]string, len(dcp.Subqueries))
 	for i, sq := range dcp.Subqueries {
 		vars[i] = sq.Graph.Vars()
 	}
-
-	// Split the worker grant between the subquery producers and the
-	// control-site join pipeline: when the plan has partitionable join
-	// stages and a budget worth splitting, half the budget funds join
-	// partitions (divided across those stages) and the producers divide
-	// the rest — so total worker demand stays near the budget instead of
-	// multiplying. Only stages whose inputs share a variable count:
-	// Cartesian stages always run single-partition in cluster, so
-	// charging the budget for them would starve the producers for
-	// workers the join never uses. An explicit Prepared/engine
-	// JoinPartitions override replaces the derived count (clamped to
-	// cluster's cap). joinPar of 1 keeps the sequential symmetric join
-	// and leaves the whole budget with the producers.
-	joinStages := len(pl.Order) - 1
-	joinPar := 0
-	sqBudget := par
-	if joinStages > 0 {
-		partStages := countPartitionableStages(pl.Order, vars)
-		if partStages > 0 {
-			switch {
-			case prep.JoinPartitions > 0:
-				joinPar = prep.JoinPartitions
-			case e.JoinPartitions > 0:
-				joinPar = e.JoinPartitions
-			case par > 1:
-				joinPar = par / 2 / partStages
-			}
-			if joinPar > cluster.MaxJoinPartitions {
-				joinPar = cluster.MaxJoinPartitions
-			}
-		}
-		if joinPar < 1 {
-			joinPar = 1
-		}
-		if joinPar > 1 {
-			sqBudget = par - joinPar*partStages
-			if sqBudget < 1 {
-				sqBudget = 1
-			}
-		}
-	}
-	stats.JoinPartitions = joinPar
 	parent := ctx
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -145,22 +93,16 @@ func (e *Engine) QueryPrepared(ctx context.Context, q *sparql.Graph, prep *Prepa
 	st := &runStats{sites: make(map[int]bool), unreachable: make(map[int]bool)}
 	errCh := make(chan error, len(dcp.Subqueries))
 
-	// One producer per subquery, streaming batches from its sites. The
-	// producers' share of the worker budget is divided across the
-	// concurrent subquery producers here, across each subquery's sites
-	// below, and across a site's fragments in cluster — so total
-	// morsel-worker demand stays near the budget instead of multiplying
-	// with the fan-out.
-	sqPar := sqBudget / len(dcp.Subqueries)
-	if sqPar < 1 {
-		sqPar = 1
-	}
+	// One producer per subquery, streaming batches from its sites.
+	// Subqueries, their sites and each site's fragments all evaluate
+	// concurrently; each fragment match and each join stage is
+	// sequential.
 	streams := make([]chan *match.Bindings, len(dcp.Subqueries))
 	for i, sq := range dcp.Subqueries {
 		streams[i] = make(chan *match.Bindings, streamBuf)
 		go func(sq *decompose.Subquery, out chan *match.Bindings) {
 			defer close(out)
-			if err := e.evalSubqueryStream(ctx, sq, prep.View, sqPar, out, st); err != nil {
+			if err := e.evalSubqueryStream(ctx, sq, prep.View, out, st); err != nil {
 				errCh <- err
 				cancel()
 			}
@@ -168,14 +110,12 @@ func (e *Engine) QueryPrepared(ctx context.Context, q *sparql.Graph, prep *Prepa
 	}
 
 	// Chain pipelined joins in optimizer order: stage k joins the running
-	// result stream with subquery Order[k]'s stream, fanned out over
-	// joinPar shared-nothing partitions. Streaming merge mode: consume
-	// dedups and sorts the final rows, so the deterministic
-	// (materialize-then-emit) merge would only add latency here.
+	// result stream with subquery Order[k]'s stream. consume dedups and
+	// sorts the final rows, so arrival order does not reach the caller.
 	cur, curVars := (<-chan *match.Bindings)(streams[pl.Order[0]]), vars[pl.Order[0]]
 	for _, idx := range pl.Order[1:] {
 		next := make(chan *match.Bindings, streamBuf)
-		go cluster.JoinStreamOpts(ctx, curVars, vars[idx], cur, streams[idx], next, cluster.JoinOptions{Partitions: joinPar})
+		go cluster.JoinStream(ctx, curVars, vars[idx], cur, streams[idx], next)
 		cur, curVars = next, cluster.JoinVars(curVars, vars[idx])
 	}
 
@@ -258,22 +198,6 @@ func (e *Engine) consume(ctx context.Context, cancel context.CancelFunc, q *spar
 	return out
 }
 
-// countPartitionableStages walks the join order and counts the stages a
-// partition grant can actually fan out, per cluster's own
-// shared-variable rule (Cartesian stages run single-partition
-// regardless).
-func countPartitionableStages(order []int, vars [][]string) int {
-	n := 0
-	cv := vars[order[0]]
-	for _, idx := range order[1:] {
-		if cluster.Partitionable(cv, vars[idx]) {
-			n++
-		}
-		cv = cluster.JoinVars(cv, vars[idx])
-	}
-	return n
-}
-
 // maxPackedCols is how many columns fit the fixed-size packed dedup key;
 // it mirrors cluster's join-table keys. Almost every projection is ≤4
 // columns wide; wider rows fall back to string keys.
@@ -334,11 +258,10 @@ func sortRows(b *match.Bindings) {
 }
 
 // evalSubqueryStream routes one subquery to the sites holding its
-// relevant fragments and streams their binding batches into out,
-// dividing the subquery's worker budget across its concurrent sites. It
-// returns once every site's stream is exhausted (or ctx is cancelled).
+// relevant fragments and streams their binding batches into out, one
+// concurrent evaluation per site. It returns once every site's stream is exhausted (or ctx is cancelled).
 // Every site evaluation reads from view, the execution's pinned cut.
-func (e *Engine) evalSubqueryStream(ctx context.Context, sq *decompose.Subquery, view *rdf.ViewHandle, par int, out chan<- *match.Bindings, st *runStats) error {
+func (e *Engine) evalSubqueryStream(ctx context.Context, sq *decompose.Subquery, view *rdf.ViewHandle, out chan<- *match.Bindings, st *runStats) error {
 	bySite, err := e.routeSubquery(sq)
 	if err != nil {
 		return err
@@ -349,13 +272,6 @@ func (e *Engine) evalSubqueryStream(ctx context.Context, sq *decompose.Subquery,
 	}
 	sort.Ints(sites)
 	st.touch(sites)
-	sitePar := 1
-	if len(sites) > 0 {
-		sitePar = par / len(sites)
-		if sitePar < 1 {
-			sitePar = 1
-		}
-	}
 
 	var (
 		wg       sync.WaitGroup
@@ -370,11 +286,10 @@ func (e *Engine) evalSubqueryStream(ctx context.Context, sq *decompose.Subquery,
 			// they read current fragment state rather than the pinned
 			// view — a view handle cannot travel across processes.
 			err := e.evaluatorFor(s).EvalStream(ctx, cluster.EvalRequest{
-				SiteID:      s,
-				FragIDs:     bySite[s],
-				Query:       sq.Graph,
-				View:        view,
-				Parallelism: sitePar,
+				SiteID:  s,
+				FragIDs: bySite[s],
+				Query:   sq.Graph,
+				View:    view,
 			}, e.BatchSize, func(b *match.Bindings) error {
 				st.rows.Add(int64(len(b.Rows)))
 				select {

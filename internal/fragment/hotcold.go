@@ -61,9 +61,3 @@ func SplitHotCold(g *rdf.Graph, workload []*sparql.Graph, theta int) *HotCold {
 	hc.Cold.Freeze()
 	return hc
 }
-
-// IsHotQueryEdge reports whether a query edge touches only frequent
-// properties (variable predicates count as cold: they may bind anywhere).
-func (hc *HotCold) IsHotQueryEdge(e sparql.Edge) bool {
-	return !e.IsPredVar() && hc.FreqProps[e.Pred]
-}

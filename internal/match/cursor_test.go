@@ -267,11 +267,8 @@ func TestMatchAllocsIndependentOfFanout(t *testing.T) {
 		g := hubGraph(fanout, 8)
 		g.Freeze()
 		q := sparql.MustParse(g.Dict, `SELECT ?x WHERE { <hub> <p5> ?x . }`)
-		// Parallelism pinned to 1: this guards the sequential inner
-		// loop; the parallel steady state has its own guard in
-		// parallel_test.go.
 		return testing.AllocsPerRun(50, func() {
-			Count(q, g.Snapshot(), Options{Parallelism: 1})
+			Count(q, g.Snapshot(), Options{})
 		})
 	}
 	small, large := alloc(64), alloc(4096)

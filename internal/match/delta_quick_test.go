@@ -6,8 +6,7 @@ package match
 // map-mode oracle, and a rebuilt-from-scratch frozen graph — and the
 // matcher must return byte-identical results on overlay vs rebuild (the
 // merge cursor reproduces the rebuilt CSR's enumeration order exactly)
-// and the same match set as the oracle. The parallel morsel fan-out is
-// held to the same byte-identical standard over delta-carrying roots.
+// and the same match set as the oracle.
 
 import (
 	"fmt"
@@ -101,18 +100,18 @@ func TestDeltaOverlayMatchDifferentialProperty(t *testing.T) {
 			}
 			rebuilt.Freeze()
 
-			got := Find(q, overlay.Snapshot(), Options{Parallelism: 1})
-			want := Find(q, rebuilt.Snapshot(), Options{Parallelism: 1})
+			got := Find(q, overlay.Snapshot(), Options{})
+			want := Find(q, rebuilt.Snapshot(), Options{})
 			if !reflect.DeepEqual(got, want) {
 				t.Logf("step %d (delta=%d tombs=%d): overlay Find not byte-identical to rebuilt (%d vs %d matches)",
 					step, overlay.DeltaLen(), overlay.DeltaTombstones(), len(got), len(want))
 				return false
 			}
-			if !sameMatchSet(got, Find(q, oracle.Snapshot(), Options{Parallelism: 1})) {
+			if !sameMatchSet(got, Find(q, oracle.Snapshot(), Options{})) {
 				t.Logf("step %d: overlay diverged from map-mode oracle", step)
 				return false
 			}
-			if Count(q, overlay.Snapshot(), Options{Parallelism: 1}) != bruteForceCount(q, oracle) {
+			if Count(q, overlay.Snapshot(), Options{}) != bruteForceCount(q, oracle) {
 				t.Logf("step %d: overlay diverged from brute-force oracle", step)
 				return false
 			}
@@ -171,80 +170,66 @@ func tombHubGraph(fanout, preds, deltaEdges int) *rdf.Graph {
 	return g
 }
 
-// TestParallelDeltaByteIdentical: the morsel fan-out over a root run that
-// carries a delta overlay (base and delta partitioned along the same
-// boundary keys) returns exactly the sequential enumeration, for Find,
-// Count and MatchedGraph, at several worker counts.
-func TestParallelDeltaByteIdentical(t *testing.T) {
+// TestDeltaHubOverlayByteIdenticalToRebuilt: over a hub whose runs carry
+// an insert delta, Find, Count and MatchedGraph on the overlay are
+// byte-identical to the same calls on a freshly rebuilt frozen graph.
+func TestDeltaHubOverlayByteIdenticalToRebuilt(t *testing.T) {
 	g := deltaHubGraph(2048, 8, 300)
 	if g.DeltaLen() == 0 {
 		t.Fatal("setup lost the delta")
 	}
-	queries := []string{
-		`SELECT ?x WHERE { <hub> <p5> ?x . }`,
-		`SELECT ?x ?p WHERE { <hub> ?p ?x . }`,
-		`SELECT ?s ?x WHERE { ?s <p3> ?x . }`,
-	}
-	for _, qs := range queries {
-		q := sparql.MustParse(g.Dict, qs)
-		seq := Find(q, g.Snapshot(), Options{Parallelism: 1})
-		for _, w := range []int{2, 4, 8} {
-			par := Find(q, g.Snapshot(), Options{Parallelism: w})
-			if !reflect.DeepEqual(seq, par) {
-				t.Fatalf("%s: parallel(%d) Find diverged from sequential (%d vs %d matches)",
-					qs, w, len(par), len(seq))
-			}
-			if c := Count(q, g.Snapshot(), Options{Parallelism: w}); c != len(seq) {
-				t.Fatalf("%s: parallel(%d) Count = %d, want %d", qs, w, c, len(seq))
-			}
-		}
-		mg := MatchedGraph(q, g.Snapshot(), Options{Parallelism: 4})
-		sg := MatchedGraph(q, g.Snapshot(), Options{Parallelism: 1})
-		if !reflect.DeepEqual(mg.Triples(), sg.Triples()) {
-			t.Fatalf("%s: parallel MatchedGraph insertion order diverged", qs)
-		}
-	}
+	checkOverlayMatchesRebuilt(t, g)
 }
 
-// TestParallelTombstoneByteIdentical: the three-run morsel fan-out (base,
-// insert and tombstone runs all carved along the same boundary keys)
-// returns exactly the sequential enumeration when the visible window
-// carries deletes — byte-identical Find, equal Count, identical
-// MatchedGraph insertion order — at several worker counts.
-func TestParallelTombstoneByteIdentical(t *testing.T) {
+// TestTombstoneHubOverlayByteIdenticalToRebuilt: the same check when the
+// visible window also carries interleaved tombstones, a delete-then-reinsert
+// and a no-op delete; no deleted triple may leak into any match.
+func TestTombstoneHubOverlayByteIdenticalToRebuilt(t *testing.T) {
 	g := tombHubGraph(2048, 8, 300)
 	if g.DeltaTombstones() == 0 {
 		t.Fatal("setup lost the tombstones")
 	}
+	checkOverlayMatchesRebuilt(t, g)
+}
+
+// checkOverlayMatchesRebuilt runs hub queries on g's overlay and on a
+// rebuilt frozen copy of its visible triples and requires identical Find,
+// Count and MatchedGraph results, with every matched triple visible in g.
+func checkOverlayMatchesRebuilt(t *testing.T, g *rdf.Graph) {
+	t.Helper()
 	queries := []string{
 		`SELECT ?x WHERE { <hub> <p5> ?x . }`,
 		`SELECT ?x ?p WHERE { <hub> ?p ?x . }`,
 		`SELECT ?s ?x WHERE { ?s <p3> ?x . }`,
 	}
+	rebuilt := rdf.NewGraph(g.Dict)
+	for _, tr := range g.Triples() {
+		rebuilt.Add(tr)
+	}
+	rebuilt.Freeze()
 	for _, qs := range queries {
 		q := sparql.MustParse(g.Dict, qs)
-		seq := Find(q, g.Snapshot(), Options{Parallelism: 1})
-		for _, w := range []int{2, 4, 8} {
-			par := Find(q, g.Snapshot(), Options{Parallelism: w})
-			if !reflect.DeepEqual(seq, par) {
-				t.Fatalf("%s: parallel(%d) Find diverged from sequential over tombstones (%d vs %d matches)",
-					qs, w, len(par), len(seq))
-			}
-			if c := Count(q, g.Snapshot(), Options{Parallelism: w}); c != len(seq) {
-				t.Fatalf("%s: parallel(%d) Count = %d, want %d", qs, w, c, len(seq))
-			}
+		got := Find(q, g.Snapshot(), Options{})
+		want := Find(q, rebuilt.Snapshot(), Options{})
+		if len(want) == 0 {
+			t.Fatalf("%s: rebuilt graph matched nothing", qs)
 		}
-		mg := MatchedGraph(q, g.Snapshot(), Options{Parallelism: 4})
-		sg := MatchedGraph(q, g.Snapshot(), Options{Parallelism: 1})
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: overlay Find diverged from rebuilt (%d vs %d matches)", qs, len(got), len(want))
+		}
+		if c := Count(q, g.Snapshot(), Options{}); c != len(want) {
+			t.Fatalf("%s: overlay Count = %d, want %d", qs, c, len(want))
+		}
+		mg := MatchedGraph(q, g.Snapshot(), Options{})
+		sg := MatchedGraph(q, rebuilt.Snapshot(), Options{})
 		if !reflect.DeepEqual(mg.Triples(), sg.Triples()) {
-			t.Fatalf("%s: parallel MatchedGraph insertion order diverged over tombstones", qs)
+			t.Fatalf("%s: overlay MatchedGraph insertion order diverged", qs)
 		}
-		// No deleted edge may leak into any match.
 		sn := g.Snapshot()
-		for _, m := range seq {
+		for _, m := range got {
 			for _, tr := range m.Triples {
 				if !sn.Has(tr) {
-					t.Fatalf("%s: match carries tombstoned triple %v", qs, tr)
+					t.Fatalf("%s: match carries deleted triple %v", qs, tr)
 				}
 			}
 		}

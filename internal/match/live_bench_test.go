@@ -78,7 +78,7 @@ func BenchmarkLiveMixedAddDeleteQuery(b *testing.B) {
 						g.Compact() // the rebuild the pre-overlay mutation forced
 					}
 				}
-				if n := Count(q, g.Snapshot(), Options{Parallelism: 1}); n == 0 {
+				if n := Count(q, g.Snapshot(), Options{}); n == 0 {
 					b.Fatal("point lookup matched nothing")
 				}
 			}
@@ -131,7 +131,7 @@ func BenchmarkLiveSlowlyChangingGraph(b *testing.B) {
 						g.Compact() // the rebuild the pre-overlay swap forced
 					}
 				}
-				if n := Count(q, g.Snapshot(), Options{Parallelism: 1}); n == 0 {
+				if n := Count(q, g.Snapshot(), Options{}); n == 0 {
 					b.Fatal("point lookup matched nothing")
 				}
 			}
@@ -157,7 +157,7 @@ func BenchmarkLiveMixedAddQuery(b *testing.B) {
 						g.Compact() // the rebuild the pre-overlay Add forced
 					}
 				}
-				if n := Count(q, g.Snapshot(), Options{Parallelism: 1}); n == 0 {
+				if n := Count(q, g.Snapshot(), Options{}); n == 0 {
 					b.Fatal("point lookup matched nothing")
 				}
 			}

@@ -6,7 +6,6 @@ package match
 
 import (
 	"slices"
-	"sync/atomic"
 
 	"rdffrag/internal/rdf"
 	"rdffrag/internal/sparql"
@@ -29,49 +28,27 @@ type Options struct {
 	Limit int
 	// VertexFilter, when non-nil, must approve every binding of query
 	// vertex qv to data vertex id. Horizontal fragmentation uses this to
-	// impose structural simple predicates. When the search runs in
-	// parallel the filter is called concurrently from several workers,
-	// so it must be safe for concurrent use (pure functions over
-	// immutable state, like the minterm filters, qualify).
+	// impose structural simple predicates. Fragments of one site request
+	// evaluate concurrently and share the request's filter, so it must be
+	// safe for concurrent use (pure functions over immutable state, like
+	// the minterm filters, qualify).
 	VertexFilter func(qv int, id rdf.ID) bool
-	// Parallelism caps the number of workers the morsel-driven parallel
-	// search may use: the root edge's candidate run is split into
-	// morsels and fanned out to a worker pool, each worker owning a
-	// private searcher. 0 means GOMAXPROCS; 1 (or a root run too small
-	// to split) forces the sequential path. Find, Count, MatchedGraph
-	// and FindBatches honour it; ForEach is always sequential because
-	// its callback contract (one reused Match) is inherently serial.
-	// Limit > 0 also forces the sequential path, preserving the exact
-	// "first Limit matches in enumeration order" semantics.
-	Parallelism int
-	// Deterministic makes a parallel FindBatches deliver batches in the
-	// sequential enumeration order (a stable morsel-order merge), at the
-	// cost of materializing all matches before the first callback.
-	// Without it batches stream as workers fill them, in no particular
-	// order. Find is always deterministic: its parallel output is
-	// exactly the sequential output.
-	Deterministic bool
 }
 
 // ForEach enumerates homomorphisms of q in g, invoking fn for each. The
 // Match passed to fn is reused between calls; copy what you keep. fn
-// returning false stops the enumeration early.
+// returning false stops the enumeration early. Enumeration is sequential
+// and deterministic: the same query over the same snapshot visits matches
+// in the same order every time.
 func ForEach(q *sparql.Graph, g *rdf.Snapshot, opts Options, fn func(*Match) bool) {
 	if len(q.Edges) == 0 {
 		return
 	}
-	forEachOrdered(q, g, opts, edgeOrder(q, g), fn)
-}
-
-// forEachOrdered is ForEach with a precomputed edge order, so entry
-// points that already ran edgeOrder for the parallel planner don't pay
-// for it twice when the plan declines.
-func forEachOrdered(q *sparql.Graph, g *rdf.Snapshot, opts Options, order []int, fn func(*Match) bool) {
 	s := &searcher{
 		q:     q,
 		g:     g,
 		opts:  opts,
-		order: order,
+		order: edgeOrder(q, g),
 		m: Match{
 			Vertex:  make([]rdf.ID, len(q.Verts)),
 			Pred:    make(map[string]rdf.ID),
@@ -106,20 +83,11 @@ func (m *Match) clone() Match {
 	return c
 }
 
-// Find collects up to opts.Limit matches (all if 0). Its output is
-// deterministic regardless of opts.Parallelism: the parallel path merges
-// per-morsel results in morsel order, reproducing the sequential
-// enumeration order exactly.
+// Find collects up to opts.Limit matches (all if 0), in ForEach's
+// enumeration order.
 func Find(q *sparql.Graph, g *rdf.Snapshot, opts Options) []Match {
-	if len(q.Edges) == 0 {
-		return nil
-	}
-	order := edgeOrder(q, g)
-	if r := planParallel(q, g, opts, order); r != nil {
-		return r.find()
-	}
 	var out []Match
-	forEachOrdered(q, g, opts, order, func(m *Match) bool {
+	ForEach(q, g, opts, func(m *Match) bool {
 		out = append(out, m.clone())
 		return true
 	})
@@ -132,25 +100,15 @@ func Find(q *sparql.Graph, g *rdf.Snapshot, opts Options) []Match {
 // Matches themselves are deep copies and safe to retain. fn returning
 // false stops the enumeration early. It powers streaming subquery
 // evaluation: sites ship bindings to the control-site join as they are
-// found instead of materializing the full result first.
+// found instead of materializing the full result first. The batch
+// sequence is Find's output cut into size-row pieces, so it is
+// reproducible across runs — what lets a torn site stream resume from
+// its last acknowledged batch.
 func FindBatches(q *sparql.Graph, g *rdf.Snapshot, opts Options, size int, fn func([]Match) bool) {
 	if size <= 0 {
 		size = 256
 	}
 	if len(q.Edges) == 0 {
-		return
-	}
-	order := edgeOrder(q, g)
-	if r := planParallel(q, g, opts, order); r != nil {
-		// Parallel fan-out: fn is still invoked serially (under a lock),
-		// so callers keep their single-caller view of the stream. With
-		// opts.Deterministic the batches additionally arrive in the
-		// sequential enumeration order.
-		if opts.Deterministic {
-			r.findBatchesOrdered(size, fn)
-		} else {
-			r.findBatchesStreaming(size, fn)
-		}
 		return
 	}
 	batch := make([]Match, 0, size)
@@ -162,7 +120,7 @@ func FindBatches(q *sparql.Graph, g *rdf.Snapshot, opts Options, size int, fn fu
 		batch = batch[:0]
 		return ok
 	}
-	forEachOrdered(q, g, opts, order, func(m *Match) bool {
+	ForEach(q, g, opts, func(m *Match) bool {
 		batch = append(batch, m.clone())
 		if len(batch) == size {
 			return flush()
@@ -173,19 +131,9 @@ func FindBatches(q *sparql.Graph, g *rdf.Snapshot, opts Options, size int, fn fu
 }
 
 // Count returns the number of matches, stopping at opts.Limit if set.
-// Without a limit it runs through the parallel path: each worker counts
-// its morsels locally (no per-match allocation) and the tallies are
-// summed.
 func Count(q *sparql.Graph, g *rdf.Snapshot, opts Options) int {
-	if len(q.Edges) == 0 {
-		return 0
-	}
-	order := edgeOrder(q, g)
-	if r := planParallel(q, g, opts, order); r != nil {
-		return r.count()
-	}
 	n := 0
-	forEachOrdered(q, g, opts, order, func(*Match) bool {
+	ForEach(q, g, opts, func(*Match) bool {
 		n++
 		return true
 	})
@@ -193,20 +141,11 @@ func Count(q *sparql.Graph, g *rdf.Snapshot, opts Options) int {
 }
 
 // MatchedGraph returns the subgraph of g induced by all matches of q: the
-// union of matched triples (Definition 10's vertical fragment content).
-// The parallel path collects matched triples per morsel and merges the
-// buckets in morsel order, so the result graph's insertion order equals
-// the sequential one.
+// union of matched triples (Definition 10's vertical fragment content),
+// inserted in enumeration order.
 func MatchedGraph(q *sparql.Graph, g *rdf.Snapshot, opts Options) *rdf.Graph {
-	if len(q.Edges) == 0 {
-		return rdf.NewGraph(g.Dict())
-	}
-	order := edgeOrder(q, g)
-	if r := planParallel(q, g, opts, order); r != nil {
-		return r.matchedGraph()
-	}
 	sub := rdf.NewGraph(g.Dict())
-	forEachOrdered(q, g, opts, order, func(m *Match) bool {
+	ForEach(q, g, opts, func(m *Match) bool {
 		for _, t := range m.Triples {
 			sub.Add(t)
 		}
@@ -225,10 +164,6 @@ type searcher struct {
 	fn    func(*Match) bool
 	found int
 	done  bool
-	// stop, when non-nil, is the parallel run's shared kill switch: any
-	// worker tripping it (callback returned false) halts every other
-	// worker at its next search step.
-	stop *atomic.Bool
 }
 
 // edgeOrder sorts query edges so that (a) the search stays connected and
@@ -299,10 +234,6 @@ func (s *searcher) search(depth int) {
 	if s.done {
 		return
 	}
-	if s.stop != nil && s.stop.Load() {
-		s.done = true
-		return
-	}
 	if depth == len(s.order) {
 		s.found++
 		if !s.fn(&s.m) {
@@ -319,8 +250,7 @@ func (s *searcher) search(depth int) {
 	s.initCursor(&cur, e)
 	var t rdf.Triple
 	// The candidate-expansion body stays inline: factoring it into a
-	// call costs ~2x on candidate-scan microbenchmarks. expandRoot
-	// mirrors it for the parallel workers' root loop — keep in sync.
+	// call costs ~2x on candidate-scan microbenchmarks.
 	for cur.next(&t) {
 		if s.done {
 			return
@@ -351,40 +281,6 @@ func (s *searcher) search(depth int) {
 		if undoS {
 			s.unbind(e.From)
 		}
-	}
-}
-
-// expandRoot tries one root candidate triple t for query edge ei on
-// behalf of a parallel worker: bind both endpoints (and a variable
-// predicate), run the rest of the search, then unwind. It mirrors
-// search's inner-loop body (kept inline there for speed) at depth 0.
-func (s *searcher) expandRoot(ei int, t rdf.Triple) {
-	e := s.q.Edges[ei]
-	if !s.predOK(e, t.P) {
-		return
-	}
-	undoS, ok := s.bind(e.From, t.S)
-	if !ok {
-		return
-	}
-	undoO, ok := s.bind(e.To, t.O)
-	if !ok {
-		if undoS {
-			s.unbind(e.From)
-		}
-		return
-	}
-	undoP := s.bindPred(e, t.P)
-	s.m.Triples[ei] = t
-	s.search(1)
-	if undoP {
-		delete(s.m.Pred, e.PredVar)
-	}
-	if undoO {
-		s.unbind(e.To)
-	}
-	if undoS {
-		s.unbind(e.From)
 	}
 }
 

@@ -46,9 +46,7 @@ func BenchmarkCandidateScan(b *testing.B) {
 
 // BenchmarkMatchWatDiv runs a fixed slice of WatDiv template queries over
 // a WatDiv-shaped graph — the end-to-end matcher cost a site pays per
-// subquery evaluation. Options{} means the morsel fan-out uses
-// GOMAXPROCS workers, so this measures whatever parallelism the host
-// grants (GOMAXPROCS=1 takes the sequential path).
+// subquery evaluation.
 func BenchmarkMatchWatDiv(b *testing.B) {
 	wd := watdiv.Generate(watdiv.Options{Triples: 20000, Seed: 20160315})
 	log, err := wd.GenerateWorkload(40, 20160316)
@@ -66,33 +64,5 @@ func BenchmarkMatchWatDiv(b *testing.B) {
 		if total == 0 {
 			b.Fatal("workload matched nothing")
 		}
-	}
-}
-
-// BenchmarkMatchWatDivParallel sweeps the morsel worker count over the
-// same workload — the scaling table of the parallel execution model.
-// Real speedup requires GOMAXPROCS ≥ the worker count; on a single
-// hardware thread the sweep instead measures the fan-out's overhead.
-func BenchmarkMatchWatDivParallel(b *testing.B) {
-	wd := watdiv.Generate(watdiv.Options{Triples: 20000, Seed: 20160315})
-	log, err := wd.GenerateWorkload(40, 20160316)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := wd.Graph
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			opts := Options{Parallelism: w}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				total := 0
-				for _, q := range log {
-					total += Count(q, g.Snapshot(), opts)
-				}
-				if total == 0 {
-					b.Fatal("workload matched nothing")
-				}
-			}
-		})
 	}
 }

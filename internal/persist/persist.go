@@ -129,13 +129,18 @@ func Save(w io.Writer, st *State) error {
 	}
 	snap := &Snapshot{Version: Version, Sites: st.Sites, Kind: uint8(st.Frag.Kind), WALSeq: st.WALSeq}
 
+	// The dictionary may grow while Save runs (query and update parsing
+	// intern terms without the serving layer's exclusive lock), so read
+	// its length once and snapshot and fingerprint that prefix: IDs are
+	// append-only, so every triple saved below refers into it.
 	d := st.Graph.Dict
-	snap.Terms = make([]TermDTO, d.Len())
-	for i := 0; i < d.Len(); i++ {
+	n := d.Len()
+	snap.Terms = make([]TermDTO, n)
+	for i := range n {
 		t := d.Decode(rdf.ID(i))
 		snap.Terms[i] = TermDTO{Kind: uint8(t.Kind), Value: t.Value}
 	}
-	snap.DictFP = d.Fingerprint(len(snap.Terms))
+	snap.DictFP = d.Fingerprint(n)
 	snap.GraphTriples = encodeTriples(st.Graph.Triples())
 	for p := range st.HC.FreqProps {
 		snap.FreqProps = append(snap.FreqProps, uint32(p))

@@ -3,6 +3,8 @@ package persist
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
+	"sync"
 	"testing"
 
 	"rdffrag/internal/allocation"
@@ -244,5 +246,42 @@ func TestWALSeqRoundTrips(t *testing.T) {
 	}
 	if got.WALSeq != 12345 {
 		t.Fatalf("WALSeq = %d, want 12345", got.WALSeq)
+	}
+}
+
+// TestSaveWhileInterning: a checkpoint may run while /update and /query
+// parsing intern new terms concurrently. Save must snapshot one
+// consistent dictionary prefix — never index past the slice it sized —
+// and every snapshot taken that way must load back.
+func TestSaveWhileInterning(t *testing.T) {
+	st := buildState(t, false)
+	d := st.Graph.Dict
+	const interned = 5000
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for i := 0; i < interned; i++ {
+			d.Encode(rdf.NewIRI(fmt.Sprintf("interned%d", i)))
+		}
+	}()
+	defer wg.Wait()
+	for i := 0; ; i++ {
+		select {
+		case <-done:
+			if i > 0 {
+				return
+			}
+		default:
+		}
+		var buf bytes.Buffer
+		if err := Save(&buf, st); err != nil {
+			t.Fatalf("Save %d: %v", i, err)
+		}
+		if _, err := Load(&buf); err != nil {
+			t.Fatalf("Load %d: %v", i, err)
+		}
 	}
 }

@@ -34,10 +34,9 @@ func TestServerMVCCWritersNeverBlockedByReaders(t *testing.T) {
 	env.G.SetAutoCompact(0.05) // force >=2 global compactions during the soak
 
 	srv := serve.New(engine, serve.Config{
-		Workers:     8,
-		QueueDepth:  64,
-		Parallelism: 2,
-		Apply:       testApply(env),
+		Workers:    8,
+		QueueDepth: 64,
+		Apply:      testApply(env),
 	})
 	defer srv.Close()
 

@@ -20,7 +20,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -54,19 +53,6 @@ type Config struct {
 	// PlanCacheSize is the LRU plan cache capacity in entries (default
 	// 128; negative disables caching).
 	PlanCacheSize int
-	// Parallelism is the machine-wide intra-query worker budget (default
-	// GOMAXPROCS; negative forces sequential matching). Each query's
-	// effective parallelism is the budget divided by the number of
-	// queries in flight: a lone query fans its morsels across the whole
-	// budget, while under heavy concurrent traffic queries run near
-	// sequentially and throughput comes from the worker pool instead —
-	// the intra- vs inter-query trade the budget exists to make.
-	Parallelism int
-	// JoinPartitions overrides the per-stage partition count of every
-	// query's control-site join pipeline (default 0: each query derives
-	// it from its parallelism grant; negative forces the sequential
-	// symmetric join).
-	JoinPartitions int
 	// Apply, when non-nil, is the live-update sink: Update, Delete and
 	// Overwrite route batches through it under the server's writer mutex
 	// (updates are serialized with each other, never with queries) and
@@ -163,14 +149,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PlanCacheSize == 0 {
 		c.PlanCacheSize = 128
-	}
-	if c.Parallelism == 0 {
-		c.Parallelism = runtime.GOMAXPROCS(0)
-	} else if c.Parallelism < 0 {
-		c.Parallelism = 1
-	}
-	if c.JoinPartitions < 0 {
-		c.JoinPartitions = 1
 	}
 	if c.SweepInterval == 0 {
 		c.SweepInterval = time.Second
@@ -353,14 +331,9 @@ func (s *Server) execute(req *request) outcome {
 		return outcome{err: err}
 	}
 	// Stamp a per-execution copy of the (possibly cached, shared)
-	// Prepared with this query's slice of the parallelism budget and the
-	// server's join-partition override (0 lets the engine derive the
-	// partition count from the grant).
+	// Prepared with this query's pinned view.
 	run := *prep
-	run.Parallelism = s.effectiveParallelism()
-	run.JoinPartitions = s.cfg.JoinPartitions
 	run.View = view
-	s.met.parallelism(run.Parallelism)
 	b, stats, err := s.engine.QueryPrepared(ctx, req.q, &run)
 	lat := time.Since(req.enqueued)
 	if err != nil {
@@ -370,7 +343,6 @@ func (s *Server) execute(req *request) outcome {
 		s.met.failed.Add(1)
 		return outcome{err: err}
 	}
-	s.met.joinPartitions(stats.JoinPartitions)
 	if stats.Partial {
 		s.met.partials.Add(1)
 	}
@@ -532,22 +504,6 @@ func (s *Server) Exclusive(fn func()) {
 	s.engine.Views().Publish()
 }
 
-// effectiveParallelism divides the machine-wide intra-query budget by
-// the number of queries currently executing (this one included), floored
-// at 1: alone on the server a query fans out fully, under load queries
-// degrade toward sequential and concurrency comes from the worker pool.
-func (s *Server) effectiveParallelism() int {
-	inflight := int(s.met.inflight.Load())
-	if inflight < 1 {
-		inflight = 1
-	}
-	eff := s.cfg.Parallelism / inflight
-	if eff < 1 {
-		eff = 1
-	}
-	return eff
-}
-
 // plan resolves a query's execution plan through the LRU cache.
 func (s *Server) plan(q *sparql.Graph) (*exec.Prepared, bool, error) {
 	if s.cache == nil {
@@ -573,8 +529,6 @@ func (s *Server) plan(q *sparql.Graph) (*exec.Prepared, bool, error) {
 // gauges.
 func (s *Server) Metrics() Metrics {
 	m := s.met.snapshot()
-	m.ParallelismBudget = s.cfg.Parallelism
-	m.JoinPartitionsCap = s.cfg.JoinPartitions
 	m.Sites = s.engine.SiteMetrics()
 	views := s.engine.Views()
 	m.Generations = views.Generations()

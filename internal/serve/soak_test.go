@@ -1,14 +1,13 @@
 package serve_test
 
-// End-to-end server soak for the partitioned join pipeline: many
+// End-to-end server soak for the streaming join pipeline: many
 // concurrent clients replay join-heavy queries against rdffrag's serving
 // layer while a share of the requests is cancelled mid-flight or given
-// deadlines too tight to meet. The partitioned join spawns routers and
-// partition workers per stage, so the invariants here are exactly the
-// ones early termination could break: no goroutine leaks once the server
-// closes, the admission queue and in-flight gauges return to zero, and
-// the effective parallelism/join-partition grants never exceed the
-// configured budget.
+// deadlines too tight to meet. Every execution spawns subquery
+// producers, per-site and per-fragment evaluations and one join
+// goroutine per stage, so the invariants here are exactly the ones early
+// termination could break: no goroutine leaks once the server closes,
+// and the admission queue and in-flight gauges return to zero.
 
 import (
 	"context"
@@ -27,7 +26,7 @@ import (
 
 // soakQueries is the join-heavy share of the workload: every query has
 // at least two triple patterns, so every execution runs the control-site
-// join pipeline (and, with parallelism granted, its partition fan-out).
+// join pipeline.
 var soakQueries = []string{
 	`SELECT ?x ?n WHERE { ?x <name> ?n . ?x <mainInterest> ?i . }`,
 	`SELECT ?x WHERE { ?x <placeOfDeath> ?c . ?c <country> ?k . ?c <postalCode> ?z . }`,
@@ -45,12 +44,10 @@ func TestServerSoakCancellationAndLeaks(t *testing.T) {
 	}
 
 	before := runtime.NumGoroutine()
-	const budget = 4
 	srv := serve.New(engine, serve.Config{
-		Workers:     8,
-		QueueDepth:  128,
-		Timeout:     250 * time.Millisecond,
-		Parallelism: budget,
+		Workers:    8,
+		QueueDepth: 128,
+		Timeout:    250 * time.Millisecond,
 	})
 
 	const clients = 12
@@ -83,16 +80,10 @@ func TestServerSoakCancellationAndLeaks(t *testing.T) {
 					if cancel != nil {
 						defer cancel()
 					}
-					resp, err := srv.Query(ctx, q)
+					_, err := srv.Query(ctx, q)
 					switch {
-					case err == nil:
-						if resp.Stats.Parallelism > budget {
-							return fmt.Errorf("client %d: granted parallelism %d exceeds budget %d", c, resp.Stats.Parallelism, budget)
-						}
-						if resp.Stats.JoinPartitions > budget {
-							return fmt.Errorf("client %d: join partitions %d exceed budget %d", c, resp.Stats.JoinPartitions, budget)
-						}
-					case errors.Is(err, context.Canceled),
+					case err == nil,
+						errors.Is(err, context.Canceled),
 						errors.Is(err, context.DeadlineExceeded),
 						errors.Is(err, serve.ErrOverloaded):
 						// Expected under soak.
@@ -118,12 +109,6 @@ func TestServerSoakCancellationAndLeaks(t *testing.T) {
 	if m.Completed == 0 {
 		t.Fatal("soak completed no queries")
 	}
-	if m.EffectiveParallelism > budget {
-		t.Errorf("effective parallelism %.2f exceeds budget %d", m.EffectiveParallelism, budget)
-	}
-	if m.EffectiveJoinPartitions > budget {
-		t.Errorf("effective join partitions %.2f exceed budget %d", m.EffectiveJoinPartitions, budget)
-	}
 
 	srv.Close()
 	m = srv.Metrics()
@@ -135,7 +120,7 @@ func TestServerSoakCancellationAndLeaks(t *testing.T) {
 	}
 
 	// Goroutine-leak bound: abandoned executions (the server keeps
-	// running a query its client cancelled) and partition workers must
+	// running a query its client cancelled) and join stages must
 	// all unwind once the server has drained. Allow brief settling and a
 	// small slack for runtime/test goroutines.
 	deadline := time.Now().Add(5 * time.Second)

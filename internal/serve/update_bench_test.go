@@ -50,10 +50,9 @@ func benchUpdateUnderLoad(b *testing.B, lockBased bool) {
 	}
 	env.G.Freeze()
 	srv := serve.New(engine, serve.Config{
-		Workers:     4,
-		QueueDepth:  64,
-		Parallelism: 2,
-		Apply:       testApply(env),
+		Workers:    4,
+		QueueDepth: 64,
+		Apply:      testApply(env),
 	})
 	defer srv.Close()
 

@@ -101,10 +101,9 @@ func TestServerUpdateSoak(t *testing.T) {
 
 	before := runtime.NumGoroutine()
 	srv := serve.New(engine, serve.Config{
-		Workers:     6,
-		QueueDepth:  256,
-		Parallelism: 4,
-		Apply:       testApply(env),
+		Workers:    6,
+		QueueDepth: 256,
+		Apply:      testApply(env),
 	})
 
 	countQ := sparql.MustParse(env.G.Dict, `SELECT ?x ?n WHERE { ?x <name> ?n . ?x <mainInterest> ?i . }`)

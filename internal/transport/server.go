@@ -183,6 +183,10 @@ func (s *SiteServer) handleEval(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad eval request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
+	if wire.Batch > maxEvalBatch {
+		http.Error(w, fmt.Sprintf("bad eval request: batch %d exceeds %d", wire.Batch, maxEvalBatch), http.StatusBadRequest)
+		return
+	}
 	// Injected request faults fire before the site does any work, like
 	// a message lost or mangled on the wire.
 	switch s.cfg.Chaos.OnRequest() {
@@ -269,21 +273,14 @@ func (s *SiteServer) handleEval(w http.ResponseWriter, r *http.Request) {
 	frags := append([]int(nil), wire.Frags...)
 	sort.Ints(frags)
 
-	// Fragments evaluate one at a time in sorted order with the
-	// deterministic matcher: the batch sequence is then reproducible
-	// across attempts, which is what makes `skip` sound. (The
-	// parallelism budget still fans out morsel workers inside each
-	// fragment — determinism costs ordering, not parallel matching.)
+	// Fragments evaluate one at a time in sorted order, and each
+	// fragment's matcher enumerates sequentially: the batch sequence is
+	// then reproducible across attempts, which is what makes `skip`
+	// sound.
 	seq := 0
 	var streamErr error
 	for _, fid := range frags {
-		req := cluster.EvalRequest{
-			SiteID:        wire.Site,
-			FragIDs:       []int{fid},
-			Query:         q,
-			Parallelism:   wire.Parallelism,
-			Deterministic: true,
-		}
+		req := cluster.EvalRequest{SiteID: wire.Site, FragIDs: []int{fid}, Query: q}
 		err := s.cfg.Cluster.EvalStream(r.Context(), req, batch, func(b *match.Bindings) error {
 			if seq < skip {
 				seq++

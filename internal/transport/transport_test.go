@@ -28,7 +28,7 @@ import (
 // newTestCluster builds one site holding two fragments of a simple
 // <a_i> <p> <b_i> graph, split so multi-fragment streams have a
 // deterministic cross-fragment batch sequence to resume into.
-func newTestCluster(t *testing.T, triples int) (*cluster.Cluster, *rdf.Dict, *sparql.Graph) {
+func newTestCluster(t testing.TB, triples int) (*cluster.Cluster, *rdf.Dict, *sparql.Graph) {
 	t.Helper()
 	d := rdf.NewDict()
 	c := cluster.New(1, 2)
@@ -91,7 +91,6 @@ func oracle(t *testing.T, c *cluster.Cluster, req cluster.EvalRequest, batch int
 	for _, fid := range req.FragIDs {
 		r := req
 		r.FragIDs = []int{fid}
-		r.Deterministic = true
 		if err := c.EvalStream(context.Background(), r, batch, want.sink); err != nil {
 			t.Fatalf("oracle EvalStream: %v", err)
 		}

@@ -49,13 +49,20 @@ type wireQuery struct {
 	Edges []wireEdge `json:"edges"`
 }
 
-// evalWire is the /eval request body.
+// maxEvalBatch bounds the rows per streamed batch an /eval request may
+// ask for. The server allocates the batch up front, so an unchecked
+// client value could exhaust the site's memory before any work is done.
+const maxEvalBatch = 1 << 16
+
+// evalWire is the /eval request body. Retired fields from older clients
+// (such as "parallelism") are ignored on decode.
 type evalWire struct {
-	Site        int       `json:"site"`
-	Frags       []int     `json:"frags"`
-	Query       wireQuery `json:"query"`
-	Parallelism int       `json:"parallelism,omitempty"`
-	Batch       int       `json:"batch,omitempty"`
+	Site  int       `json:"site"`
+	Frags []int     `json:"frags"`
+	Query wireQuery `json:"query"`
+	// Batch is the rows per streamed batch: 0 or less means the default,
+	// and values above maxEvalBatch are rejected with 400.
+	Batch int `json:"batch,omitempty"`
 	// Resume asks the server to skip the first Resume batches of the
 	// deterministic batch sequence (they were already delivered and
 	// acknowledged before a previous attempt's stream tore). Only valid
@@ -170,12 +177,11 @@ func encodeRequest(req cluster.EvalRequest, d *rdf.Dict, batchSize int) (*evalWi
 	// valid across every retry and hedge of this request.
 	dictLen := d.Len()
 	return &evalWire{
-		Site:        req.SiteID,
-		Frags:       append([]int(nil), req.FragIDs...),
-		Query:       encodeQuery(req.Query, d),
-		Parallelism: req.Parallelism,
-		Batch:       batchSize,
-		DictLen:     dictLen,
-		DictFP:      d.Fingerprint(dictLen),
+		Site:    req.SiteID,
+		Frags:   append([]int(nil), req.FragIDs...),
+		Query:   encodeQuery(req.Query, d),
+		Batch:   min(batchSize, maxEvalBatch),
+		DictLen: dictLen,
+		DictFP:  d.Fingerprint(dictLen),
 	}, nil
 }

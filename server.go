@@ -23,14 +23,6 @@ type ServerConfig struct {
 	Timeout time.Duration
 	// PlanCacheSize is the LRU plan cache capacity (negative disables).
 	PlanCacheSize int
-	// Parallelism is the machine-wide intra-query worker budget, divided
-	// among concurrently executing queries (0 = GOMAXPROCS, negative
-	// forces sequential matching).
-	Parallelism int
-	// JoinPartitions overrides the per-stage partition count of every
-	// query's control-site join pipeline (0 = derived per query from its
-	// parallelism grant, negative forces the sequential join).
-	JoinPartitions int
 	// Remote configures networked sites: which site IDs are served by
 	// external `rdffrag site` processes, and the retry / hedging /
 	// circuit-breaker / degradation policy used to reach them. The zero
@@ -108,15 +100,13 @@ func (dep *Deployment) StartServer(cfg ServerConfig) *Server {
 		durable: cfg.Durable,
 		ttl:     cfg.TTL,
 		inner: serve.New(dep.engine, serve.Config{
-			Workers:        cfg.Workers,
-			QueueDepth:     cfg.QueueDepth,
-			Timeout:        cfg.Timeout,
-			PlanCacheSize:  cfg.PlanCacheSize,
-			Parallelism:    cfg.Parallelism,
-			JoinPartitions: cfg.JoinPartitions,
-			SweepInterval:  cfg.SweepInterval,
-			Apply:          apply,
-			WALStats:       walStats,
+			Workers:       cfg.Workers,
+			QueueDepth:    cfg.QueueDepth,
+			Timeout:       cfg.Timeout,
+			PlanCacheSize: cfg.PlanCacheSize,
+			SweepInterval: cfg.SweepInterval,
+			Apply:         apply,
+			WALStats:      walStats,
 		}),
 	}
 	if cfg.Durable != nil {
